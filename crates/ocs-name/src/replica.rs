@@ -1,22 +1,21 @@
-//! One name-service replica (§4.6, rebuilt on Viewstamped Replication
-//! per ROADMAP item 1).
+//! One name-service replica (§4.6, rebuilt on Viewstamped Replication).
 //!
 //! A replica runs on every server node. All replicas answer `resolve`
 //! and `list` from local state; every mutation flows through the
-//! VSR-replicated update log ([`crate::vsr`]): the view primary
-//! sequences it, broadcasts `prepare`, commits at a majority of acks
-//! and applies committed updates in order. Backups forward client
-//! updates to the primary. When backups stop hearing from the primary
-//! they run a view change — sub-second with the deployed timeouts,
-//! versus the ~25 s master re-election window the paper measured — and
-//! a replica rejoining after a crash recovers by state transfer: log
-//! replay while the peers still retain the missing suffix, snapshot
-//! installation once compaction has dropped it.
+//! VSR-replicated update log: the view primary sequences it, broadcasts
+//! `prepare`, commits at a majority of acks and applies committed
+//! updates in order. Backups forward client updates to the primary.
+//! When backups stop hearing from the primary they run a view change —
+//! sub-second with the deployed timeouts, versus the ~25 s master
+//! re-election window the paper measured — and a replica rejoining after
+//! a crash recovers by state transfer: log replay while the peers still
+//! retain the missing suffix, snapshot installation once compaction has
+//! dropped it.
 //!
-//! This module is the *driver* around the pure [`VsrCore`] engine: it
-//! owns the ORB servants, the heartbeat/view-change/recovery loop, and
-//! the post-processing of engine events (telemetry, resolve-cache
-//! invalidation, context-servant export).
+//! The replication itself is the shared [`ocs_vsr::Replica`] driver; this
+//! module supplies its [`ReplicaHooks`] (resolve-cache invalidation and
+//! context-servant export on every commit) and the client-facing naming
+//! servants with their local read path.
 //!
 //! The primary also runs the §4.7 audit: every `audit_interval` it asks
 //! the liveness oracle (in the full system, the local Resource Audit
@@ -26,32 +25,23 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
-use ocs_orb::{Caller, ClientCtx, NoAuth, ObjRef, Orb, ThreadModel};
-use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, PortReq, Rt, Semaphore, SimTime};
+use ocs_orb::{Caller, ObjRef};
+use ocs_sim::{Addr, NetError, NodeId, NodeRtExt, Rt, Semaphore};
+use ocs_telemetry::NodeTelemetry;
+use ocs_vsr::{Names, Replica, ReplicaConfig, ReplicaHooks, Unavailable, VsrEvent, VsrStatus};
 use parking_lot::Mutex;
 
 use crate::cache::ResolveCache;
-use crate::iface::{
-    NamingContext, NamingContextServant, NsPeer, NsPeerClient, NsPeerServant, SelectorClient,
-    NAMING_TYPE_ID,
-};
+use crate::iface::{NamingContext, NamingContextServant, SelectorClient, NAMING_TYPE_ID};
 use crate::selector::eval_static;
 use crate::state::{CtxId, NsState, ResolveOut, SelectorEval, ROOT_CTX};
 use crate::types::{Binding, NsError, NsUpdate, SelectorSpec};
-use crate::vsr::{
-    DoViewChange, OpOutcome, Prepare, StartView, StateTransfer, SubmitRoute, VsrCore, VsrEvent,
-    VsrStatus,
-};
 
-/// Object id of the `NsPeer` servant on every replica's ORB.
-const PEER_OBJ: u64 = 1;
 /// Object ids of non-root context servants start here.
 const CTX_OBJ_BASE: u64 = 16;
-/// Entries re-sent to one lagging backup per heartbeat round.
-const RESEND_BATCH: usize = 32;
 
 /// Deciding liveness of bound objects for the audit (§4.7). The real
 /// oracle is the local Resource Audit Service; tests may plug anything.
@@ -97,52 +87,102 @@ pub struct NsConfig {
 impl NsConfig {
     /// The paper's deployed parameters (§9.7) for a replica group.
     pub fn paper_defaults(replica_id: u32, peers: Vec<Addr>) -> NsConfig {
+        let vsr = ReplicaConfig::paper_defaults(replica_id, peers);
         NsConfig {
             replica_id,
-            peers,
-            heartbeat_interval: Duration::from_secs(2),
-            election_timeout: Duration::from_secs(5),
+            peers: vsr.peers,
+            heartbeat_interval: vsr.heartbeat_interval,
+            election_timeout: vsr.election_timeout,
             audit_interval: Duration::from_secs(10),
-            peer_timeout: Duration::from_millis(800),
+            peer_timeout: vsr.peer_timeout,
             resolve_cost: Duration::from_micros(200),
-            log_retention: 512,
+            log_retention: vsr.log_retention,
         }
     }
 
-    /// This replica's effective suspect timeout: the base plus an
-    /// id-proportional stagger (half a heartbeat per id), so the lowest
-    /// live backup usually proposes the view change alone.
-    fn suspect_timeout(&self) -> Duration {
-        self.election_timeout + (self.heartbeat_interval / 2) * self.replica_id
+    fn replica_config(&self) -> ReplicaConfig {
+        ReplicaConfig {
+            replica_id: self.replica_id,
+            peers: self.peers.clone(),
+            heartbeat_interval: self.heartbeat_interval,
+            election_timeout: self.election_timeout,
+            peer_timeout: self.peer_timeout,
+            log_retention: self.log_retention,
+        }
     }
 }
 
-/// Driver-side bookkeeping next to the engine.
-struct Driver {
-    /// Last heartbeat round the primary ran.
-    last_hb_round: SimTime,
-    /// When the ongoing view change was first suspected (fail-over
-    /// latency clock, reported on `ns.vsr.view_change_us`).
-    vc_started: Option<SimTime>,
-}
-
-/// The core of a replica, shared by its servants and loops.
-pub struct NsCore {
-    rt: Rt,
-    cfg: NsConfig,
-    st: Mutex<VsrCore>,
-    drv: Mutex<Driver>,
-    rr: AtomicU64,
+/// The name service's hooks into the shared replica driver, plus the
+/// per-replica state its read path and audit use.
+struct Naming {
+    resolve_cost: Duration,
     cpu: Semaphore,
-    orb: Mutex<Weak<Orb>>,
+    rr: AtomicU64,
     oracle: Mutex<Arc<dyn LivenessOracle>>,
     exported: Mutex<HashSet<CtxId>>,
 }
 
+type Core = Replica<Naming>;
+
+impl ReplicaHooks for Naming {
+    type Machine = NsState;
+    type Ok = ();
+    type Err = NsError;
+    type Drained = ();
+
+    const NAMES: Names = Names {
+        peer_type: "ocs.ns-peer",
+        forward: "forward_update",
+        metrics: "ns",
+        journal: "vsr",
+        trace: "ns",
+        process: "ns-vsr",
+        replica: "replica",
+    };
+
+    fn unavailable(_why: Unavailable) -> NsError {
+        // Every flavour reads as a master outage: the client's rebind
+        // library retries (§8.2).
+        NsError::NoMaster
+    }
+
+    fn drain(&self, _state: &mut NsState) {}
+
+    /// Node-wide resolve-cache invalidation piggybacked on commit
+    /// application, and servant export for new contexts.
+    fn on_events(core: &Arc<Core>, _drained: (), events: &[VsrEvent<NsUpdate>]) {
+        let reg = &NodeTelemetry::of(&**core.rt()).registry;
+        let mut ctxs_changed = false;
+        for ev in events {
+            match ev {
+                VsrEvent::Committed { update, .. } => {
+                    let path = match update {
+                        NsUpdate::Bind { path, .. }
+                        | NsUpdate::Unbind { path }
+                        | NsUpdate::NewContext { path }
+                        | NsUpdate::NewReplContext { path, .. }
+                        | NsUpdate::ReportLoad { path, .. } => path,
+                    };
+                    ResolveCache::of(&**core.rt()).invalidate(path);
+                    reg.counter("ns.vsr.cache_invalidations").inc();
+                    ctxs_changed |= matches!(
+                        update,
+                        NsUpdate::NewContext { .. } | NsUpdate::NewReplContext { .. }
+                    );
+                }
+                VsrEvent::CaughtUp { .. } => ctxs_changed = true,
+                _ => {}
+            }
+        }
+        if ctxs_changed {
+            sync_ctx_exports(core);
+        }
+    }
+}
+
 /// A running name-service replica.
 pub struct NsReplica {
-    core: Arc<NsCore>,
-    orb: Arc<Orb>,
+    core: Arc<Core>,
 }
 
 impl NsReplica {
@@ -153,807 +193,127 @@ impl NsReplica {
         cfg: NsConfig,
         oracle: Arc<dyn LivenessOracle>,
     ) -> Result<Arc<NsReplica>, NetError> {
-        let my_addr = cfg.peers[cfg.replica_id as usize];
-        assert_eq!(
-            my_addr.node,
-            rt.node(),
-            "replica {} configured for a different node",
-            cfg.replica_id
-        );
-        let now = rt.now();
-        let engine = VsrCore::new(
-            cfg.replica_id,
-            cfg.peers.len(),
-            cfg.log_retention,
-            cfg.suspect_timeout(),
-            now,
-        );
-        let core = Arc::new(NsCore {
+        let hooks = Naming {
+            resolve_cost: cfg.resolve_cost,
             cpu: Semaphore::new(&rt, 1),
-            rt: rt.clone(),
-            cfg,
-            st: Mutex::new(engine),
-            drv: Mutex::new(Driver {
-                last_hb_round: now,
-                vc_started: None,
-            }),
             rr: AtomicU64::new(0),
-            orb: Mutex::new(Weak::new()),
             oracle: Mutex::new(oracle),
             exported: Mutex::new(HashSet::new()),
-        });
-        let orb = Orb::build(
+        };
+        let core = Replica::start(
             rt.clone(),
-            PortReq::Fixed(my_addr.port),
-            ThreadModel::PerRequest,
-            Some(ObjRef::STABLE),
-            Arc::new(NoAuth),
+            cfg.replica_config(),
+            NsState::default(),
+            hooks,
+            |core| {
+                Arc::new(NamingContextServant(Arc::new(CtxView {
+                    core: Arc::clone(core),
+                    ctx: ROOT_CTX,
+                })))
+            },
         )?;
-        *core.orb.lock() = Arc::downgrade(&orb);
-        orb.export_at(
-            0,
-            Arc::new(NamingContextServant(Arc::new(CtxView {
-                core: Arc::clone(&core),
-                ctx: ROOT_CTX,
-            }))),
-        );
-        orb.export_at(
-            PEER_OBJ,
-            Arc::new(NsPeerServant(Arc::new(PeerView {
-                core: Arc::clone(&core),
-            }))),
-        );
-        orb.start();
-        if core.st.lock().in_probation() {
-            ocs_telemetry::NodeTelemetry::of(&*rt).journal.record(
-                rt.now(),
-                "vsr",
-                format!("replica {} starting in recovery probation", core.cfg.replica_id),
-            );
-        }
         let c = Arc::clone(&core);
-        rt.spawn_fn("ns-vsr", move || c.vsr_loop());
-        let c = Arc::clone(&core);
-        rt.spawn_fn("ns-audit", move || c.audit_loop());
-        Ok(Arc::new(NsReplica { core, orb }))
+        rt.spawn_fn("ns-audit", move || audit_loop(c, cfg.audit_interval));
+        Ok(Arc::new(NsReplica { core }))
     }
 
     /// The stable reference to this replica's root context (valid across
     /// replica restarts — the paper's name-service exception to the
     /// reference-lifetime rule, §3.2.1).
     pub fn root_ref(&self) -> ObjRef {
-        self.core.ctx_objref(ROOT_CTX)
+        ctx_objref(&self.core, ROOT_CTX)
     }
 
     /// Whether this replica is currently the view primary with a quorum
     /// (the VSR notion of the paper's "master").
     pub fn is_master(&self) -> bool {
-        self.core.st.lock().is_master()
-    }
-
-    /// The current view number (the VSR notion of the election epoch).
-    pub fn epoch(&self) -> u64 {
-        self.core.st.lock().view()
-    }
-
-    /// Sequence number of the last committed (applied) update.
-    pub fn last_seq(&self) -> u64 {
-        self.core.st.lock().commit_num()
+        self.core.is_master()
     }
 
     /// Whether the replica is still in start-up/recovery probation.
     pub fn in_probation(&self) -> bool {
-        self.core.st.lock().in_probation()
+        self.core.in_probation()
     }
 
     /// One-line engine state dump for test failure diagnostics.
     pub fn debug_status(&self) -> String {
-        let st = self.core.st.lock();
-        format!(
-            "view={} status={:?} primary={} master={} probation={} catchup={} op={} commit={}",
-            st.view(),
-            st.status(),
-            st.is_primary(),
-            st.is_master(),
-            st.in_probation(),
-            st.needs_catchup(),
-            st.op_num(),
-            st.commit_num(),
-        )
+        self.core.debug_status()
     }
 
     /// Replaces the liveness oracle (wired to the local RAS at cluster
     /// start-up, after the RAS itself is running).
     pub fn set_oracle(&self, oracle: Arc<dyn LivenessOracle>) {
-        *self.core.oracle.lock() = oracle;
-    }
-
-    /// The replica's ORB (for tests).
-    pub fn orb(&self) -> &Arc<Orb> {
-        &self.orb
+        *self.core.hooks().oracle.lock() = oracle;
     }
 }
 
-impl NsCore {
-    fn ctx_objref(&self, ctx: CtxId) -> ObjRef {
-        let object_id = if ctx == ROOT_CTX {
-            0
-        } else {
-            CTX_OBJ_BASE + ctx
-        };
-        ObjRef {
-            addr: self.cfg.peers[self.cfg.replica_id as usize],
-            incarnation: ObjRef::STABLE,
-            type_id: NAMING_TYPE_ID,
-            object_id,
-        }
-    }
+fn ctx_objref(core: &Core, ctx: CtxId) -> ObjRef {
+    let object_id = if ctx == ROOT_CTX {
+        0
+    } else {
+        CTX_OBJ_BASE + ctx
+    };
+    core.stable_ref(NAMING_TYPE_ID, object_id)
+}
 
-    fn client_ctx(&self) -> ClientCtx {
-        ClientCtx::new(self.rt.clone()).with_timeout(self.cfg.peer_timeout)
-    }
-
-    fn peer_client(&self, peer: u32) -> Result<NsPeerClient, NsError> {
-        let addr = self.cfg.peers[peer as usize];
-        let target = ObjRef {
-            addr,
-            incarnation: ObjRef::STABLE,
-            type_id: NsPeerClient::TYPE_ID,
-            object_id: PEER_OBJ,
-        };
-        NsPeerClient::attach(self.client_ctx(), target).map_err(|err| NsError::Comm { err })
-    }
-
-    fn peer_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.cfg.peers.len() as u32).filter(move |i| *i != self.cfg.replica_id)
-    }
-
-    /// Runs `f` against the engine, then post-processes the events it
-    /// produced. Never call engine methods while making RPCs — every
-    /// peer call in this module happens with the lock released.
-    fn with_engine<R>(self: &Arc<Self>, f: impl FnOnce(&mut VsrCore) -> R) -> R {
-        let (out, events, probation_ended) = {
-            let mut st = self.st.lock();
-            let before = st.in_probation();
-            let out = f(&mut st);
-            let ended = before && !st.in_probation();
-            (out, st.take_events(), ended)
-        };
-        if probation_ended {
-            // Both exit paths (recovery-quorum probe and StartView) funnel
-            // through here, so the flight recorder sees every one.
-            ocs_telemetry::NodeTelemetry::of(&*self.rt).journal.record(
-                self.rt.now(),
-                "vsr",
-                "recovery probation ended",
+/// Ensures a context servant is exported for every live context id.
+fn sync_ctx_exports(core: &Arc<Core>) {
+    let Some(orb) = core.orb() else {
+        return;
+    };
+    let ids: Vec<CtxId> = core.engine().state().context_ids();
+    let mut exported = core.hooks().exported.lock();
+    for id in ids {
+        if id != ROOT_CTX && !exported.contains(&id) {
+            orb.export_at(
+                CTX_OBJ_BASE + id,
+                Arc::new(NamingContextServant(Arc::new(CtxView {
+                    core: Arc::clone(core),
+                    ctx: id,
+                }))),
             );
-        }
-        if !events.is_empty() {
-            self.apply_events(events);
-        }
-        out
-    }
-
-    /// Engine-event post-processing: telemetry, node-wide resolve-cache
-    /// invalidation piggybacked on commit application, and context
-    /// servant export.
-    fn apply_events(self: &Arc<Self>, events: Vec<VsrEvent>) {
-        let tel = ocs_telemetry::NodeTelemetry::of(&*self.rt);
-        let reg = &tel.registry;
-        let mut ctxs_changed = false;
-        for ev in events {
-            match ev {
-                VsrEvent::Committed { update, .. } => {
-                    reg.counter("ns.vsr.commits").inc();
-                    let path = match &update {
-                        NsUpdate::Bind { path, .. }
-                        | NsUpdate::Unbind { path }
-                        | NsUpdate::NewContext { path }
-                        | NsUpdate::NewReplContext { path, .. }
-                        | NsUpdate::ReportLoad { path, .. } => path.clone(),
-                    };
-                    ResolveCache::of(&*self.rt).invalidate(&path);
-                    reg.counter("ns.vsr.cache_invalidations").inc();
-                    if matches!(
-                        update,
-                        NsUpdate::NewContext { .. } | NsUpdate::NewReplContext { .. }
-                    ) {
-                        ctxs_changed = true;
-                    }
-                }
-                VsrEvent::Suspected { view } => {
-                    reg.counter("ns.vsr.suspects").inc();
-                    let started = {
-                        let mut drv = self.drv.lock();
-                        if drv.vc_started.is_none() {
-                            drv.vc_started = Some(self.rt.now());
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if started {
-                        tel.journal.record(
-                            self.rt.now(),
-                            "vsr",
-                            format!("view change started: proposing view {view}"),
-                        );
-                    }
-                    self.rt.trace(&format!("ns: vsr suspect, proposing view {view}"));
-                }
-                VsrEvent::ViewChanged { view, primary } => {
-                    reg.counter("ns.vsr.view_changes").inc();
-                    reg.gauge("ns.vsr.view").set(view as i64);
-                    if let Some(started) = self.drv.lock().vc_started.take() {
-                        let us = self.rt.now().saturating_since(started).as_micros() as u64;
-                        reg.histo("ns.vsr.view_change_us").observe(us);
-                    }
-                    tel.journal.record(
-                        self.rt.now(),
-                        "vsr",
-                        format!("view change committed: view {view} primary {primary}"),
-                    );
-                    self.rt
-                        .trace(&format!("ns: vsr entered view {view} (primary {primary})"));
-                }
-                VsrEvent::Aborted { view } => {
-                    reg.counter("ns.vsr.vc_aborted").inc();
-                    self.drv.lock().vc_started = None;
-                    tel.journal.record(
-                        self.rt.now(),
-                        "vsr",
-                        format!("view change to {view} aborted: primary still healthy"),
-                    );
-                    self.rt.trace(&format!(
-                        "ns: vsr view change to {view} aborted (primary still healthy)"
-                    ));
-                }
-                VsrEvent::CaughtUp { via_snapshot } => {
-                    let name = if via_snapshot {
-                        "ns.vsr.state_transfer_snapshot"
-                    } else {
-                        "ns.vsr.state_transfer_log"
-                    };
-                    reg.counter(name).inc();
-                    tel.journal.record(
-                        self.rt.now(),
-                        "vsr",
-                        if via_snapshot {
-                            "caught up via snapshot state transfer"
-                        } else {
-                            "caught up via log replay"
-                        },
-                    );
-                    ctxs_changed = true;
-                }
-            }
-        }
-        if ctxs_changed {
-            self.sync_ctx_exports();
-        }
-    }
-
-    /// Ensures a context servant is exported for every live context id.
-    fn sync_ctx_exports(self: &Arc<Self>) {
-        let Some(orb) = self.orb.lock().upgrade() else {
-            return;
-        };
-        let ids: Vec<CtxId> = self.st.lock().state().context_ids();
-        let mut exported = self.exported.lock();
-        for id in ids {
-            if id != ROOT_CTX && !exported.contains(&id) {
-                orb.export_at(
-                    CTX_OBJ_BASE + id,
-                    Arc::new(NamingContextServant(Arc::new(CtxView {
-                        core: Arc::clone(self),
-                        ctx: id,
-                    }))),
-                );
-                exported.insert(id);
-            }
-        }
-    }
-
-    // ---- update path ---------------------------------------------------
-
-    /// Sequences and replicates an update as the view primary: broadcast
-    /// the prepare, then wait for the majority commit.
-    fn drive_prepare(self: &Arc<Self>, prep: Prepare) -> Result<(), NsError> {
-        for i in self.peer_ids() {
-            let ack = self.peer_client(i).and_then(|peer| {
-                peer.prepare(
-                    prep.view,
-                    prep.view,
-                    prep.op_num,
-                    prep.commit_num,
-                    prep.update.clone(),
-                )
-            });
-            if let Ok(ack) = ack {
-                self.with_engine(|c| c.on_ack(i, &ack));
-            }
-        }
-        // The acks usually commit the op synchronously above; under
-        // partial connectivity a later round's piggybacked watermark may
-        // close the gap, so poll briefly before giving up. The poll is
-        // keyed by the viewstamp `(view, op)` we sequenced, never the op
-        // number alone: if we are deposed mid-poll and a view change
-        // commits a *different* update at our op number, the client must
-        // hear failure — its write may be lost — not the replacement's
-        // success.
-        let deadline = self.rt.now() + self.cfg.peer_timeout * 2;
-        loop {
-            match self.st.lock().outcome_of(prep.view, prep.op_num) {
-                OpOutcome::Done(result) => return result,
-                OpOutcome::Superseded => {
-                    ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                        .registry
-                        .counter("ns.vsr.superseded")
-                        .inc();
-                    return Err(NsError::NoMaster);
-                }
-                OpOutcome::Pending => {}
-            }
-            if self.rt.now() >= deadline {
-                // Sequenced but not committed: no quorum reachable. The
-                // op may still commit after a heal; clients treat this
-                // like a master outage and retry.
-                return Err(NsError::NoMaster);
-            }
-            self.rt.sleep(self.cfg.heartbeat_interval / 8);
-        }
-    }
-
-    /// Applies an update on this replica as primary, without forwarding.
-    fn master_submit(self: &Arc<Self>, update: NsUpdate) -> Result<(), NsError> {
-        match self.with_engine(|c| c.client_op(update)) {
-            Ok(prep) => self.drive_prepare(prep),
-            Err(_) => Err(NsError::NoMaster),
-        }
-    }
-
-    /// Routes a client update: sequence here if primary, forward to the
-    /// primary if backup. Fails fast — mid-view-change the client sees
-    /// `NoMaster` and its rebind library retries (§8.2).
-    fn submit_update(self: &Arc<Self>, update: NsUpdate) -> Result<(), NsError> {
-        match self.with_engine(|c| c.client_op(update.clone())) {
-            Ok(prep) => self.drive_prepare(prep),
-            Err(SubmitRoute::Forward(p)) => {
-                self.peer_client(p)?.forward_update(update)
-            }
-            Err(SubmitRoute::Unavailable) => Err(NsError::NoMaster),
-        }
-    }
-
-    /// Absolute path of a name bound in context `ctx`.
-    fn abs_path(&self, ctx: CtxId, name: &str) -> Result<String, NsError> {
-        let st = self.st.lock();
-        match st.state().path_of_ctx(ctx) {
-            Some(prefix) if prefix.is_empty() => Ok(name.to_string()),
-            Some(prefix) => Ok(format!("{prefix}/{name}")),
-            None => Err(NsError::NotFound {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    // ---- read path -----------------------------------------------------
-
-    fn read_state(&self) -> NsState {
-        self.st.lock().state().clone()
-    }
-
-    fn charge_resolve(&self) {
-        if self.cfg.resolve_cost > Duration::ZERO {
-            self.cpu.acquire();
-            self.rt.busy(self.cfg.resolve_cost);
-            self.cpu.release();
-        }
-    }
-
-    /// If a local resolve miss on this backup may be stale — it holds
-    /// prepared-but-unapplied ops, so the primary has committed writes
-    /// we have not applied yet — returns the primary to re-ask
-    /// (read-your-writes for a client that bound through the primary
-    /// and immediately resolves through a backup). Peer replicas never
-    /// get forwarded again, so forwards cannot loop.
-    fn stale_miss_primary(&self, caller: NodeId) -> Option<u32> {
-        if self.cfg.peers.iter().any(|p| p.node == caller) {
-            return None;
-        }
-        let st = self.st.lock();
-        if st.status() == VsrStatus::Normal
-            && !st.is_primary()
-            && !st.in_probation()
-            && st.commit_gap() > 0
-        {
-            Some(st.primary_of(st.view()))
-        } else {
-            None
-        }
-    }
-
-    fn do_resolve(
-        self: &Arc<Self>,
-        start: CtxId,
-        name: &str,
-        caller: NodeId,
-    ) -> Result<ObjRef, NsError> {
-        ocs_telemetry::NodeTelemetry::of(&*self.rt)
-            .registry
-            .counter("ns.server.resolves")
-            .inc();
-        self.charge_resolve();
-        let ns = self.read_state();
-        let ctx_ref = |id: CtxId| self.ctx_objref(id);
-        let mut eval = ReplicaEval { core: self };
-        match ns.resolve(start, name, caller, &ctx_ref, &mut eval, NAMING_TYPE_ID)? {
-            ResolveOut::Obj(obj) => Ok(obj),
-            ResolveOut::LocalCtx(id) => Ok(self.ctx_objref(id)),
-            ResolveOut::Forward { ctx, rest } => {
-                // Recursive resolve through a remotely implemented
-                // context (§4.3).
-                let remote = crate::iface::NamingContextClient::attach(self.client_ctx(), ctx)
-                    .map_err(|err| NsError::Comm { err })?;
-                remote.resolve(rest)
-            }
-        }
-    }
-
-    fn do_list(
-        self: &Arc<Self>,
-        start: CtxId,
-        name: &str,
-        caller: NodeId,
-        all: bool,
-    ) -> Result<Vec<Binding>, NsError> {
-        self.charge_resolve();
-        let ns = self.read_state();
-        let ctx_ref = |id: CtxId| self.ctx_objref(id);
-        let mut eval = ReplicaEval { core: self };
-        ns.list(
-            start,
-            name,
-            caller,
-            all,
-            &ctx_ref,
-            &mut eval,
-            NAMING_TYPE_ID,
-        )
-    }
-
-    // ---- VSR driver loop -----------------------------------------------
-
-    fn vsr_loop(self: Arc<Self>) {
-        let tick = self.cfg.heartbeat_interval / 4;
-        // Desynchronize the replicas' ticks.
-        self.rt.sleep(self.rt.rand_jitter(tick));
-        loop {
-            enum Act {
-                Probe,
-                HeartbeatRound,
-                CatchUp,
-                ViewChange,
-                Nothing,
-            }
-            let act = {
-                let st = self.st.lock();
-                let now = self.rt.now();
-                if st.in_probation() {
-                    Act::Probe
-                } else if st.needs_catchup() {
-                    // Must outrank the heartbeat arm: a stale primary
-                    // that has learned of a higher view would otherwise
-                    // heartbeat its dead view forever instead of
-                    // catching up (found by the model-based proptest).
-                    Act::CatchUp
-                } else if st.is_primary() {
-                    let due = {
-                        let mut drv = self.drv.lock();
-                        if now.saturating_since(drv.last_hb_round)
-                            >= self.cfg.heartbeat_interval
-                        {
-                            drv.last_hb_round = now;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if due {
-                        Act::HeartbeatRound
-                    } else {
-                        Act::Nothing
-                    }
-                } else if st.suspects(now) || st.vc_stuck(now) {
-                    Act::ViewChange
-                } else {
-                    Act::Nothing
-                }
-            };
-            match act {
-                Act::Probe => self.recovery_probe(),
-                Act::HeartbeatRound => self.heartbeat_round(),
-                Act::CatchUp => self.catch_up(),
-                Act::ViewChange => self.run_view_change(),
-                Act::Nothing => {}
-            }
-            {
-                let st = self.st.lock();
-                let reg = &ocs_telemetry::NodeTelemetry::of(&*self.rt).registry;
-                reg.gauge("ns.vsr.view").set(st.view() as i64);
-                reg.gauge("ns.vsr.commit_gap").set(st.commit_gap() as i64);
-            }
-            self.rt.sleep(tick);
-        }
-    }
-
-    /// One primary heartbeat round: broadcast the commit point, absorb
-    /// the watermark acks, re-send log entries to lagging backups, and
-    /// track quorum contact.
-    fn heartbeat_round(self: &Arc<Self>) {
-        let (view, commit, op_num) = {
-            let st = self.st.lock();
-            if !st.is_primary() {
-                return;
-            }
-            (st.view(), st.commit_num(), st.op_num())
-        };
-        let mut acked = 0;
-        for i in self.peer_ids() {
-            let ack = self
-                .peer_client(i)
-                .and_then(|peer| peer.commit_hb(view, commit));
-            let Ok(ack) = ack else { continue };
-            self.with_engine(|c| c.on_ack(i, &ack));
-            if ack.view == view && ack.accepted {
-                acked += 1;
-                if ack.op_num < op_num {
-                    self.resend_to(i, view, ack.op_num);
-                }
-            }
-        }
-        self.with_engine(|c| c.note_round(acked));
-    }
-
-    /// Re-sends the log suffix after `from` to one lagging backup
-    /// (bounded per round; state transfer covers bigger gaps).
-    fn resend_to(self: &Arc<Self>, peer: u32, view: u64, from: u64) {
-        let entries = {
-            let st = self.st.lock();
-            if !st.is_primary() || st.view() != view {
-                return;
-            }
-            st.entries_from(from + 1)
-        };
-        // `None` means the suffix was compacted: the backup's gap spans
-        // the retention window and it will request a snapshot itself.
-        let Some(entries) = entries else { return };
-        let Ok(client) = self.peer_client(peer) else {
-            return;
-        };
-        for e in entries.into_iter().take(RESEND_BATCH) {
-            let commit = self.st.lock().commit_num();
-            // Sender view and the entry's original view travel
-            // separately: a re-send never re-stamps the entry.
-            let Ok(ack) = client.prepare(view, e.view, e.op, commit, e.update) else {
-                return;
-            };
-            self.with_engine(|c| c.on_ack(peer, &ack));
-            if !ack.accepted {
-                return;
-            }
-        }
-    }
-
-    /// Proposes (or re-proposes) a view change: broadcast the proposal,
-    /// and either complete it or revert. Only after a majority has
-    /// joined does anyone emit a `DoViewChange` — the initiator tells
-    /// each joiner to release its payload (`view_change_go`) and then
-    /// releases its own. Emitting earlier is unsafe: a payload from a
-    /// replica that later reverts to an older view could complete the
-    /// change with a log that omits ops newly committed there.
-    fn run_view_change(self: &Arc<Self>) {
-        let now = self.rt.now();
-        let (proposed, forced) = self.with_engine(|c| {
-            let v = c.begin_view_change(now);
-            (v, c.vc_forced())
-        });
-        let mut joined = 1; // self
-        let mut joiners = Vec::new();
-        for i in self.peer_ids() {
-            match self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view_change(proposed, forced))
-            {
-                Ok(ack) if ack.joined => {
-                    joined += 1;
-                    joiners.push(i);
-                }
-                Ok(ack) => self.with_engine(|c| c.note_view(ack.view)),
-                Err(_) => {}
-            }
-        }
-        let majority = self.cfg.peers.len() / 2 + 1;
-        if joined < majority {
-            let now = self.rt.now();
-            self.with_engine(|c| c.abort_view_change(proposed, now));
-            return;
-        }
-        // Quorum joined: release the DoViewChanges toward the new
-        // primary — the joiners' first, then our own.
-        let new_primary = (proposed % self.cfg.peers.len() as u64) as u32;
-        for i in joiners {
-            if let Ok(peer) = self.peer_client(i) {
-                let _ = peer.view_change_go(proposed);
-            }
-        }
-        if let Some(dvc) = self.with_engine(|c| c.emit_dvc(proposed)) {
-            self.deliver_dvc(new_primary, dvc);
-        }
-    }
-
-    /// Routes a `DoViewChange` to the new primary — locally when that is
-    /// this replica, by RPC otherwise.
-    fn deliver_dvc(self: &Arc<Self>, new_primary: u32, dvc: DoViewChange) {
-        if new_primary == self.cfg.replica_id {
-            let now = self.rt.now();
-            if let Some(sv) = self.with_engine(|c| c.on_do_view_change(dvc, now)) {
-                self.broadcast_start_view(sv);
-            }
-        } else if let Ok(peer) = self.peer_client(new_primary) {
-            let _ = peer.do_view_change(dvc);
-        }
-    }
-
-    /// New primary → backups: announce the chosen log. The acks double
-    /// as prepare-oks, so the carried tail usually commits in-round.
-    fn broadcast_start_view(self: &Arc<Self>, sv: StartView) {
-        for i in self.peer_ids() {
-            if let Ok(ack) = self
-                .peer_client(i)
-                .and_then(|peer| peer.start_view(sv.clone()))
-            {
-                self.with_engine(|c| c.on_ack(i, &ack));
-            }
-        }
-        self.drv.lock().last_hb_round = self.rt.now();
-    }
-
-    /// Collects `get_state` answers from every reachable peer. Only
-    /// *authoritative* answers (Normal, out-of-probation responders)
-    /// count toward `countable` and compete for `best`: a probationary
-    /// or view-changing peer's log proves nothing about what committed.
-    /// Genuinely cold answers (empty, view 0 — a cold-starting group)
-    /// count toward `countable` but carry no state. Among authoritative
-    /// answers the `(view, op_num, commit_num)` maximum is taken, which
-    /// is the latest-view primary's log whenever the primary answered
-    /// (a backup never out-runs its primary within a view) — the VSR
-    /// recovery preference.
-    fn poll_peers_state(self: &Arc<Self>) -> PeerPoll {
-        let commit = self.st.lock().commit_num();
-        let mut poll = PeerPoll {
-            answers: 0,
-            countable: 0,
-            best: None,
-        };
-        for i in self.peer_ids() {
-            let Ok(st) = self
-                .peer_client(i)
-                .and_then(|peer| peer.get_state(commit))
-            else {
-                continue;
-            };
-            poll.answers += 1;
-            if st.is_cold() {
-                poll.countable += 1;
-                continue;
-            }
-            if !st.authoritative() {
-                continue;
-            }
-            poll.countable += 1;
-            let better = match &poll.best {
-                None => true,
-                Some(b) => (st.view, st.op_num, st.commit_num) > (b.view, b.op_num, b.commit_num),
-            };
-            if better {
-                poll.best = Some(st);
-            }
-        }
-        poll
-    }
-
-    /// Routine state transfer for a replica that saw a gap or a higher
-    /// view. Installs only authoritative (Normal-responder) state.
-    fn catch_up(self: &Arc<Self>) {
-        let poll = self.poll_peers_state();
-        if poll.answers == 0 {
-            return; // Nobody reachable; retry next tick.
-        }
-        if let Some(best) = poll.best {
-            let now = self.rt.now();
-            self.with_engine(|c| {
-                c.on_state_transfer(best, now);
-            });
-        }
-    }
-
-    /// Start-up recovery: a (re)starting replica's log may have died
-    /// with it, so it stays in probation — not acking, leading or
-    /// joining view changes — until a recovery quorum of peers has
-    /// answered *authoritatively* and the freshest such answer is
-    /// installed. Any committed op appears in at least one of any `f+1`
-    /// Normal peers' logs; answers from probationary or view-changing
-    /// peers prove nothing and do not count (a group cold-starting in
-    /// unison bootstraps through the cold-answer carve-out instead).
-    fn recovery_probe(self: &Arc<Self>) {
-        let required = self.st.lock().recovery_quorum();
-        let poll = self.poll_peers_state();
-        if poll.countable < required {
-            return; // Keep probing; StartView can also end probation.
-        }
-        let now = self.rt.now();
-        self.with_engine(|c| {
-            if !c.in_probation() {
-                return;
-            }
-            if let Some(best) = poll.best {
-                c.on_state_transfer(best, now);
-            }
-            c.end_probation(now);
-        });
-    }
-
-    fn audit_loop(self: Arc<Self>) {
-        loop {
-            self.rt.sleep(self.cfg.audit_interval);
-            if !self.st.lock().is_master() {
-                continue;
-            }
-            let leaves: Vec<(String, ObjRef)> = {
-                let st = self.st.lock();
-                st.state()
-                    .collect_leaves()
-                    .into_iter()
-                    // Stable references (other name-service contexts)
-                    // survive restarts and are not auditable by
-                    // incarnation; skip them.
-                    .filter(|(_, obj)| obj.incarnation != ObjRef::STABLE)
-                    .collect()
-            };
-            if leaves.is_empty() {
-                continue;
-            }
-            let oracle = Arc::clone(&*self.oracle.lock());
-            let alive = oracle.check(&leaves);
-            for ((path, _), alive) in leaves.iter().zip(alive) {
-                if !alive {
-                    self.rt.trace(&format!("ns: audit removing dead {path}"));
-                    ocs_telemetry::NodeTelemetry::of(&*self.rt)
-                        .registry
-                        .counter("ns.server.audit_removed")
-                        .inc();
-                    let _ = self.master_submit(NsUpdate::Unbind { path: path.clone() });
-                }
-            }
+            exported.insert(id);
         }
     }
 }
 
-/// Result of one `get_state` sweep over the peer set.
-struct PeerPoll {
-    /// Peers that answered at all (reachability signal).
-    answers: usize,
-    /// Answers that count toward a recovery quorum: authoritative
-    /// (Normal) ones plus genuinely cold ones.
-    countable: usize,
-    /// Freshest authoritative answer by `(view, op_num, commit_num)`.
-    best: Option<StateTransfer>,
+fn audit_loop(core: Arc<Core>, interval: Duration) {
+    let rt = core.rt().clone();
+    loop {
+        rt.sleep(interval);
+        if !core.is_master() {
+            continue;
+        }
+        let leaves: Vec<(String, ObjRef)> = core
+            .engine()
+            .state()
+            .collect_leaves()
+            .into_iter()
+            // Stable references (other name-service contexts) survive
+            // restarts and are not auditable by incarnation; skip them.
+            .filter(|(_, obj)| obj.incarnation != ObjRef::STABLE)
+            .collect();
+        if leaves.is_empty() {
+            continue;
+        }
+        let oracle = Arc::clone(&*core.hooks().oracle.lock());
+        let alive = oracle.check(&leaves);
+        for ((path, _), alive) in leaves.iter().zip(alive) {
+            if !alive {
+                rt.trace(&format!("ns: audit removing dead {path}"));
+                NodeTelemetry::of(&*rt)
+                    .registry
+                    .counter("ns.server.audit_removed")
+                    .inc();
+                let _ = core.master_submit(NsUpdate::Unbind { path: path.clone() });
+            }
+        }
+    }
 }
 
 /// Selector evaluation with remote-selector support.
 struct ReplicaEval<'a> {
-    core: &'a Arc<NsCore>,
+    core: &'a Core,
 }
 
 impl SelectorEval for ReplicaEval<'_> {
@@ -970,9 +330,10 @@ impl SelectorEval for ReplicaEval<'_> {
                 (idx < candidates.len()).then_some(idx)
             }
             other => {
-                let mut rr = self.core.rr.load(Ordering::Relaxed);
-                let out = eval_static(other, caller, candidates, &mut rr);
-                self.core.rr.store(rr, Ordering::Relaxed);
+                let rr = &self.core.hooks().rr;
+                let mut next = rr.load(Ordering::Relaxed);
+                let out = eval_static(other, caller, candidates, &mut next);
+                rr.store(next, Ordering::Relaxed);
                 out
             }
         }
@@ -981,22 +342,113 @@ impl SelectorEval for ReplicaEval<'_> {
 
 /// Servant view of one context (exported per context id).
 struct CtxView {
-    core: Arc<NsCore>,
+    core: Arc<Core>,
     ctx: CtxId,
+}
+
+impl CtxView {
+    /// Absolute path of a name bound in this context.
+    fn abs_path(&self, name: &str) -> Result<String, NsError> {
+        match self.core.engine().state().path_of_ctx(self.ctx) {
+            Some(prefix) if prefix.is_empty() => Ok(name.to_string()),
+            Some(prefix) => Ok(format!("{prefix}/{name}")),
+            None => Err(NsError::NotFound {
+                name: name.to_string(),
+            }),
+        }
+    }
+
+    fn submit(&self, name: &str, update: impl FnOnce(String) -> NsUpdate) -> Result<(), NsError> {
+        let path = self.abs_path(name)?;
+        self.core.submit(update(path))
+    }
+
+    fn read_state(&self) -> NsState {
+        self.core.engine().state().clone()
+    }
+
+    fn charge_resolve(&self) {
+        let hooks = self.core.hooks();
+        if hooks.resolve_cost > Duration::ZERO {
+            hooks.cpu.acquire();
+            self.core.rt().busy(hooks.resolve_cost);
+            hooks.cpu.release();
+        }
+    }
+
+    /// If a local resolve miss on this backup may be stale — it holds
+    /// prepared-but-unapplied ops, so the primary has committed writes
+    /// we have not applied yet — returns the primary to re-ask
+    /// (read-your-writes for a client that bound through the primary
+    /// and immediately resolves through a backup). Peer replicas never
+    /// get forwarded again, so forwards cannot loop.
+    fn stale_miss_primary(&self, caller: NodeId) -> Option<u32> {
+        if self.core.config().peers.iter().any(|p| p.node == caller) {
+            return None;
+        }
+        let st = self.core.engine();
+        if st.status() == VsrStatus::Normal
+            && !st.is_primary()
+            && !st.in_probation()
+            && st.commit_gap() > 0
+        {
+            Some(st.primary_of(st.view()))
+        } else {
+            None
+        }
+    }
+
+    fn resolve_local(&self, name: &str, caller: NodeId) -> Result<ObjRef, NsError> {
+        NodeTelemetry::of(&**self.core.rt())
+            .registry
+            .counter("ns.server.resolves")
+            .inc();
+        self.charge_resolve();
+        let ns = self.read_state();
+        let ctx_ref = |id: CtxId| ctx_objref(&self.core, id);
+        let mut eval = ReplicaEval { core: &self.core };
+        match ns.resolve(self.ctx, name, caller, &ctx_ref, &mut eval, NAMING_TYPE_ID)? {
+            ResolveOut::Obj(obj) => Ok(obj),
+            ResolveOut::LocalCtx(id) => Ok(ctx_objref(&self.core, id)),
+            ResolveOut::Forward { ctx, rest } => {
+                // Recursive resolve through a remotely implemented
+                // context (§4.3).
+                let remote = crate::iface::NamingContextClient::attach(self.core.client_ctx(), ctx)
+                    .map_err(|err| NsError::Comm { err })?;
+                remote.resolve(rest)
+            }
+        }
+    }
+
+    fn list_local(&self, name: &str, caller: NodeId, all: bool) -> Result<Vec<Binding>, NsError> {
+        self.charge_resolve();
+        let ns = self.read_state();
+        let ctx_ref = |id: CtxId| ctx_objref(&self.core, id);
+        let mut eval = ReplicaEval { core: &self.core };
+        ns.list(
+            self.ctx,
+            name,
+            caller,
+            all,
+            &ctx_ref,
+            &mut eval,
+            NAMING_TYPE_ID,
+        )
+    }
 }
 
 impl NamingContext for CtxView {
     fn resolve(&self, caller: &Caller, name: String) -> Result<ObjRef, NsError> {
-        let local = self.core.do_resolve(self.ctx, &name, caller.node);
+        let local = self.resolve_local(&name, caller.node);
         if let Err(NsError::NotFound { .. }) = &local {
-            if let Some(primary) = self.core.stale_miss_primary(caller.node) {
-                let mut target = self.core.ctx_objref(self.ctx);
-                target.addr = self.core.cfg.peers[primary as usize];
+            if let Some(primary) = self.stale_miss_primary(caller.node) {
+                let mut target = ctx_objref(&self.core, self.ctx);
+                target.addr = self.core.config().peers[primary as usize];
                 if let Ok(remote) =
                     crate::iface::NamingContextClient::attach(self.core.client_ctx(), target)
                 {
                     if let Ok(obj) = remote.resolve(name) {
-                        ocs_telemetry::NodeTelemetry::of(&*self.core.rt)
+                        NodeTelemetry::of(&**self.core.rt())
                             .registry
                             .counter("ns.vsr.read_forwards")
                             .inc();
@@ -1009,26 +461,22 @@ impl NamingContext for CtxView {
     }
 
     fn bind(&self, _caller: &Caller, name: String, obj: ObjRef) -> Result<(), NsError> {
-        let path = self.core.abs_path(self.ctx, &name)?;
-        self.core.submit_update(NsUpdate::Bind { path, obj })
+        self.submit(&name, |path| NsUpdate::Bind { path, obj })
     }
 
     fn unbind(&self, _caller: &Caller, name: String) -> Result<(), NsError> {
-        let path = self.core.abs_path(self.ctx, &name)?;
-        self.core.submit_update(NsUpdate::Unbind { path })
+        self.submit(&name, |path| NsUpdate::Unbind { path })
     }
 
     fn bind_new_context(&self, caller: &Caller, name: String) -> Result<ObjRef, NsError> {
-        let path = self.core.abs_path(self.ctx, &name)?;
-        self.core
-            .submit_update(NsUpdate::NewContext { path: path.clone() })?;
+        self.submit(&name, |path| NsUpdate::NewContext { path })?;
         // Commit application is synchronous on the primary but may
         // still be in flight here on a backup — retry once after a beat.
-        match self.core.do_resolve(self.ctx, &name, caller.node) {
+        match self.resolve_local(&name, caller.node) {
             Ok(obj) => Ok(obj),
             Err(NsError::NotFound { .. }) => {
-                self.core.rt.sleep(self.core.cfg.peer_timeout);
-                self.core.do_resolve(self.ctx, &name, caller.node)
+                self.core.rt().sleep(self.core.config().peer_timeout);
+                self.resolve_local(&name, caller.node)
             }
             Err(e) => Err(e),
         }
@@ -1040,104 +488,22 @@ impl NamingContext for CtxView {
         name: String,
         selector: SelectorSpec,
     ) -> Result<ObjRef, NsError> {
-        let path = self.core.abs_path(self.ctx, &name)?;
-        self.core
-            .submit_update(NsUpdate::NewReplContext { path, selector })?;
+        self.submit(&name, |path| NsUpdate::NewReplContext { path, selector })?;
         // A replicated context resolves to a *member*, so return the
         // context reference by id lookup instead.
-        let st = self.core.st.lock();
-        match st.state().ctx_of_name(self.ctx, &name) {
-            Some(id) => Ok(self.core.ctx_objref(id)),
-            None => Ok(self.core.ctx_objref(self.ctx)),
-        }
+        let id = self.core.engine().state().ctx_of_name(self.ctx, &name);
+        Ok(ctx_objref(&self.core, id.unwrap_or(self.ctx)))
     }
 
     fn list(&self, caller: &Caller, name: String) -> Result<Vec<Binding>, NsError> {
-        self.core.do_list(self.ctx, &name, caller.node, false)
+        self.list_local(&name, caller.node, false)
     }
 
     fn list_repl(&self, caller: &Caller, name: String) -> Result<Vec<Binding>, NsError> {
-        self.core.do_list(self.ctx, &name, caller.node, true)
+        self.list_local(&name, caller.node, true)
     }
 
     fn report_load(&self, _caller: &Caller, name: String, load: u32) -> Result<(), NsError> {
-        let path = self.core.abs_path(self.ctx, &name)?;
-        self.core.submit_update(NsUpdate::ReportLoad { path, load })
-    }
-}
-
-/// Servant view of the VSR replica-to-replica protocol.
-struct PeerView {
-    core: Arc<NsCore>,
-}
-
-impl NsPeer for PeerView {
-    fn prepare(
-        &self,
-        _caller: &Caller,
-        view: u64,
-        entry_view: u64,
-        op_num: u64,
-        commit_num: u64,
-        update: NsUpdate,
-    ) -> Result<crate::vsr::PeerAck, NsError> {
-        let now = self.core.rt.now();
-        Ok(self
-            .core
-            .with_engine(|c| c.on_prepare(view, entry_view, op_num, commit_num, update, now)))
-    }
-
-    fn commit_hb(
-        &self,
-        _caller: &Caller,
-        view: u64,
-        commit_num: u64,
-    ) -> Result<crate::vsr::PeerAck, NsError> {
-        let now = self.core.rt.now();
-        Ok(self.core.with_engine(|c| c.on_commit_hb(view, commit_num, now)))
-    }
-
-    fn start_view_change(
-        &self,
-        _caller: &Caller,
-        view: u64,
-        forced: bool,
-    ) -> Result<crate::vsr::SvcAck, NsError> {
-        let now = self.core.rt.now();
-        Ok(self
-            .core
-            .with_engine(|c| c.on_start_view_change(view, forced, now)))
-    }
-
-    fn view_change_go(&self, _caller: &Caller, view: u64) -> Result<(), NsError> {
-        // The initiator saw a join majority for `view`: releasing our
-        // DoViewChange is now safe — a majority has left older views,
-        // so no new op can commit below `view` behind our back.
-        if let Some(dvc) = self.core.with_engine(|c| c.emit_dvc(view)) {
-            let new_primary = (view % self.core.cfg.peers.len() as u64) as u32;
-            self.core.deliver_dvc(new_primary, dvc);
-        }
-        Ok(())
-    }
-
-    fn do_view_change(&self, _caller: &Caller, dvc: DoViewChange) -> Result<(), NsError> {
-        let now = self.core.rt.now();
-        if let Some(sv) = self.core.with_engine(|c| c.on_do_view_change(dvc, now)) {
-            self.core.broadcast_start_view(sv);
-        }
-        Ok(())
-    }
-
-    fn start_view(&self, _caller: &Caller, sv: StartView) -> Result<crate::vsr::PeerAck, NsError> {
-        let now = self.core.rt.now();
-        Ok(self.core.with_engine(|c| c.on_start_view(sv, now)))
-    }
-
-    fn get_state(&self, _caller: &Caller, from_op: u64) -> Result<StateTransfer, NsError> {
-        Ok(self.core.st.lock().on_get_state(from_op))
-    }
-
-    fn forward_update(&self, _caller: &Caller, update: NsUpdate) -> Result<(), NsError> {
-        self.core.master_submit(update)
+        self.submit(&name, |path| NsUpdate::ReportLoad { path, load })
     }
 }

@@ -36,25 +36,22 @@ fn boot_server(
 ) -> Server {
     let node = sim.add_node(name);
     peers.push(Addr::new(node.node(), NS_PORT));
-    Server {
-        ns: NsHandle::new(
-            ClientCtx::new(node.clone()),
-            Addr::new(node.node(), NS_PORT),
-        ),
-        ras: finish_boot(&node, replica_id, peers.clone(), registry),
-        ssc: SSC_LAST.lock().take().expect("set by finish_boot"),
-        node,
-    }
+    let ns = NsHandle::new(
+        ClientCtx::new(node.clone()),
+        Addr::new(node.node(), NS_PORT),
+    );
+    let (ras, ssc) = finish_boot(&node, replica_id, peers.clone(), registry);
+    Server { node, ns, ras, ssc }
 }
 
-static SSC_LAST: parking_lot::Mutex<Option<Arc<Ssc>>> = parking_lot::Mutex::new(None);
-
+/// Starts the NS replica, SSC and RAS on `node`; returns the RAS and
+/// the SSC it is wired to.
 fn finish_boot(
     node: &Arc<SimNode>,
     replica_id: u32,
     peers: Vec<Addr>,
     registry: Vec<ServiceDef>,
-) -> Arc<Ras> {
+) -> (Arc<Ras>, Arc<Ssc>) {
     let rt: Rt = node.clone();
     let ns_local = NsHandle::new(ClientCtx::new(node.clone()), peers[replica_id as usize]);
     let replica = NsReplica::start(
@@ -64,7 +61,6 @@ fn finish_boot(
     )
     .unwrap();
     let ssc = Ssc::start(rt.clone(), SscConfig::default(), ns_local.clone(), registry).unwrap();
-    *SSC_LAST.lock() = Some(Arc::clone(&ssc));
     let (ras, _ras_ref, cb_ref) = Ras::start(rt.clone(), RasConfig::default(), ns_local).unwrap();
     // Wire RAS -> SSC callback registration and NS -> RAS oracle.
     let ssc_ref = ssc.self_ref();
@@ -74,7 +70,7 @@ fn finish_boot(
         client.register_callback(cb_ref).unwrap();
     });
     replica.set_oracle(RasOracle::new(rt, Addr::new(node.node(), RAS_PORT)));
-    ras
+    (ras, ssc)
 }
 
 /// A service that exports an object and registers it, then idles.
@@ -173,8 +169,8 @@ fn two_server_peer_poll(sim: &Sim) {
     let n1 = sim.add_node("t1");
     let peers = vec![Addr::new(n0.node(), NS_PORT), Addr::new(n1.node(), NS_PORT)];
     let (svc, slot) = steady_service("steady");
-    let _ras0 = finish_boot(&n0, 0, peers.clone(), vec![]);
-    let _ras1 = finish_boot(&n1, 1, peers.clone(), vec![svc]);
+    let _boot0 = finish_boot(&n0, 0, peers.clone(), vec![]);
+    let _boot1 = finish_boot(&n1, 1, peers.clone(), vec![svc]);
     sim.run_until(SimTime::from_secs(20));
     let obj = slot.lock().expect("service up on n1");
     // Ask the RAS on n0 about the object on n1: first Unknown, then the

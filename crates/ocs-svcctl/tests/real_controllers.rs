@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use ocs_name::{AlwaysAlive, NsConfig, NsError, NsHandle, NsReplica};
 use ocs_orb::{Caller, ClientCtx, ObjRef, Orb};
 use ocs_sim::real::RealNet;
-use ocs_sim::{Addr, NodeRt, NodeRtExt, PortReq, Rt};
+use ocs_sim::{Addr, NodeRt, PortReq, Rt};
 use ocs_svcctl::{
     csc_client, Csc, CscConfig, ServiceDef, ServiceRunCtx, Ssc, SscApiClient, SscCallback,
     SscCallbackServant, SscConfig, SscReplicaConfig, SvcError,
