@@ -25,14 +25,14 @@ use std::time::Duration;
 
 use itv_cluster::{AvailabilityAuditor, AvailabilityReport, RealCluster};
 use itv_media::ports;
-use ocs_name::{AlwaysAlive, NsError, NsHandle, NsReplica};
+use ocs_name::{NsError, NsHandle};
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::{RealNet, RealNode};
 use ocs_sim::{Addr, FaultAction, Nemesis, NodeRt, NodeRtExt, PortReq, Rt, SimTime};
 
-use super::failover::{percentile, tuned_cfg, SimNsGroup};
+use super::failover::{ns_group, tuned_cfg};
 use crate::json::Json;
-use crate::{f, report, Table};
+use crate::{f, percentile, report, Table};
 
 // ---------------------------------------------------------------------------
 // E19: process-group kill latency histogram (real runtime)
@@ -213,14 +213,10 @@ fn probe_leaf(peers: &[Addr]) -> ObjRef {
 /// running both probe streams, and the standard storm (primary kills,
 /// then primary partitions), all in virtual time.
 fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
-    let group = SimNsGroup::build(seed, tuned_cfg);
-    let poll = Duration::from_millis(20);
-    assert!(
-        group.run_until(poll, Duration::from_secs(120), || group.settled()),
-        "NS group failed to settle at campaign start"
-    );
+    let group = ns_group(seed, tuned_cfg, "auditor", Duration::from_millis(20));
+    group.settle();
 
-    let client = group.sim.add_node("auditor");
+    let client = &group.client;
     let reads = Arc::new(AvailabilityAuditor::new());
     let writes = Arc::new(AvailabilityAuditor::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -244,8 +240,7 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
         });
     }
     assert!(
-        group.run_until(poll, Duration::from_secs(30), || ready
-            .load(Ordering::Relaxed)),
+        group.run_until(Duration::from_secs(30), || ready.load(Ordering::Relaxed)),
         "probe name never seeded"
     );
 
@@ -293,40 +288,23 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
     // Storm phase 1: repeated primary kills (E20's storm), through the
     // shared Nemesis so the flight recorder journals each injection.
     for _ in 0..SIM_KILL_ROUNDS {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between kill rounds"
-        );
+        group.settle();
         group.sim.run_for(Duration::from_secs(2));
-        let master = group.masters()[0];
-        let victim = group.nodes[master].node();
-        Nemesis::apply(&group.sim, &FaultAction::CrashNode(victim));
+        let (master, _) = group.kill_master();
         mark("crash");
-        group.replicas.lock()[master] = None;
         assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
+            group.run_until(Duration::from_secs(120), || {
                 group.masters().first().is_some_and(|m| *m != master)
             }),
             "no new master after killing the primary"
         );
-        Nemesis::apply(&group.sim, &FaultAction::RestartNode(victim));
-        let rt: Rt = group.nodes[master].clone();
-        let r = NsReplica::start(
-            rt,
-            (group.cfg_of)(master as u32, group.peers.clone()),
-            Arc::new(AlwaysAlive),
-        )
-        .expect("replica restarts");
-        group.replicas.lock()[master] = Some(r);
+        group.restart(master);
     }
 
     // Storm phase 2: isolate the primary from both backups (it keeps
     // running but loses its majority; the backups elect).
     for _ in 0..SIM_PARTITION_ROUNDS {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between partition rounds"
-        );
+        group.settle();
         group.sim.run_for(Duration::from_secs(2));
         let master = group.masters()[0];
         let m = group.nodes[master].node();
@@ -339,7 +317,7 @@ fn sim_leg(seed: u64) -> (AvailabilityReport, AvailabilityReport, f64) {
         }
         mark("partition");
         assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
+            group.run_until(Duration::from_secs(120), || {
                 group.masters().iter().any(|&x| x != master)
             }),
             "no new master after partitioning the primary away"

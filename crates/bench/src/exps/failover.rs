@@ -17,120 +17,48 @@ use std::time::{Duration, Instant};
 use itv_cluster::RealCluster;
 use ocs_name::{AlwaysAlive, NsConfig, NsHandle, NsReplica};
 use ocs_orb::{ClientCtx, ObjRef};
-use ocs_sim::{Addr, NodeRt, NodeRtExt, Rt, Sim, SimNode};
-use parking_lot::Mutex;
+use ocs_sim::{Addr, NodeRtExt, Rt};
+use ocs_vsr::SimGroup;
 
 use crate::json::Json;
-use crate::{f, report, Stats, Table};
+use crate::{f, percentile, report, Stats, Table};
 
 const NS_PORT: u16 = 10;
 
-/// `p`-th percentile of a sample by nearest-rank (p in [0, 1]).
-pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// A 3-replica NS group in the simulator, plus a client node driving a
-/// background bind load.
-pub(crate) struct SimNsGroup {
-    pub(crate) sim: Sim,
-    pub(crate) nodes: Vec<Arc<SimNode>>,
-    pub(crate) replicas: Arc<Mutex<Vec<Option<Arc<NsReplica>>>>>,
-    pub(crate) peers: Vec<Addr>,
-    pub(crate) cfg_of: fn(u32, Vec<Addr>) -> NsConfig,
-}
-
-impl SimNsGroup {
-    pub(crate) fn build(seed: u64, cfg_of: fn(u32, Vec<Addr>) -> NsConfig) -> SimNsGroup {
-        let sim = Sim::new(seed);
-        let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("ns{i}"))).collect();
-        let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), NS_PORT)).collect();
-        let replicas = Arc::new(Mutex::new(vec![None; 3]));
-        for (i, node) in nodes.iter().enumerate() {
-            let rt: Rt = node.clone();
-            let r = NsReplica::start(rt, cfg_of(i as u32, peers.clone()), Arc::new(AlwaysAlive))
-                .expect("replica starts");
-            replicas.lock()[i] = Some(r);
-        }
-        SimNsGroup {
-            sim,
-            nodes,
-            replicas,
-            peers,
-            cfg_of,
-        }
-    }
-
-    pub(crate) fn masters(&self) -> Vec<usize> {
-        self.replicas
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                r.as_ref()
-                    .filter(|r| self.sim.node_up(self.nodes[i].node()) && r.is_master())
-                    .map(|_| i)
-            })
-            .collect()
-    }
-
-    /// One master, every live replica out of probation (killing a
-    /// replica before then would strand the group below its recovery
-    /// quorum — see the real-cluster launch settle).
-    pub(crate) fn settled(&self) -> bool {
-        self.masters().len() == 1
-            && self
-                .replicas
-                .lock()
-                .iter()
-                .enumerate()
-                .all(|(i, r)| match r {
-                    Some(r) => !self.sim.node_up(self.nodes[i].node()) || !r.in_probation(),
-                    None => true,
-                })
-    }
-
-    /// Steps virtual time until `cond`, in `step` increments, up to
-    /// `limit`. Returns whether the condition held.
-    pub(crate) fn run_until(&self, step: Duration, limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            if cond() {
-                return true;
-            }
-            self.sim.run_for(step);
-        }
-        cond()
-    }
+/// A 3-replica NS group in the simulator, plus a client node named
+/// `client`, polled every `step`.
+pub(crate) fn ns_group(
+    seed: u64,
+    cfg_of: fn(u32, Vec<Addr>) -> NsConfig,
+    client: &str,
+    step: Duration,
+) -> SimGroup<NsReplica> {
+    SimGroup::new(seed, "ns", 3, NS_PORT, client, move |g, i| {
+        let rt: Rt = g.nodes[i].clone();
+        NsReplica::start(rt, cfg_of(i as u32, g.peers.clone()), Arc::new(AlwaysAlive))
+            .expect("replica starts")
+    })
+    .with_step(step)
 }
 
 /// Repeatedly kills the current primary and samples master-outage
 /// windows (crash → a different replica reports `is_master`).
 fn sim_kill_rounds(
-    group: &SimNsGroup,
+    group: &SimGroup<NsReplica>,
     rounds: usize,
-    poll: Duration,
     bind_timeout: Duration,
     dwell: Duration,
 ) -> (Vec<f64>, u64) {
     // Background load: a client binding a fresh name every 100 ms via
     // whichever replica answers (backups forward to the primary).
-    let client = group.sim.add_node("load");
     let binds = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     {
         let binds = Arc::clone(&binds);
         let stop = Arc::clone(&stop);
         let peers = group.peers.clone();
-        let node = client.clone();
-        let rt = client.clone();
-        node.spawn_fn("ns-load", move || {
+        let rt: Rt = group.client.clone();
+        group.client.spawn_fn("ns-load", move || {
             let mut i = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let leaf = ObjRef {
@@ -162,19 +90,13 @@ fn sim_kill_rounds(
     }
     let mut samples = Vec::new();
     for _ in 0..rounds {
-        assert!(
-            group.run_until(poll, Duration::from_secs(120), || group.settled()),
-            "NS group failed to settle between kill rounds"
-        );
+        group.settle();
         // A healthy dwell so the kill lands mid-load, not at the exact
         // instant the group finished recovering.
         group.sim.run_for(dwell);
-        let master = group.masters()[0];
-        let t0 = group.sim.now();
-        group.sim.crash_node(group.nodes[master].node());
-        group.replicas.lock()[master] = None;
+        let (master, t0) = group.kill_master();
         assert!(
-            group.run_until(poll, Duration::from_secs(120), || {
+            group.run_until(Duration::from_secs(120), || {
                 group.masters().first().is_some_and(|m| *m != master)
             }),
             "no new master after killing the primary"
@@ -182,15 +104,7 @@ fn sim_kill_rounds(
         samples.push(group.sim.now().saturating_since(t0).as_secs_f64());
         // Bring the victim back and let it walk recovery before the
         // next round, so each kill faces a full group.
-        group.sim.restart_node(group.nodes[master].node());
-        let rt: Rt = group.nodes[master].clone();
-        let r = NsReplica::start(
-            rt,
-            (group.cfg_of)(master as u32, group.peers.clone()),
-            Arc::new(AlwaysAlive),
-        )
-        .expect("replica restarts");
-        group.replicas.lock()[master] = Some(r);
+        group.restart(master);
     }
     stop.store(true, Ordering::Relaxed);
     group.sim.run_for(Duration::from_millis(200));
@@ -252,14 +166,9 @@ pub fn e20(sim_only: bool) {
     ]);
 
     // Leg 1: paper-scale timeouts, virtual time.
-    let group = SimNsGroup::build(20_001, paper_cfg);
-    let (paper_samples, paper_binds) = sim_kill_rounds(
-        &group,
-        12,
-        Duration::from_millis(100),
-        Duration::from_secs(5),
-        Duration::from_secs(4),
-    );
+    let group = ns_group(20_001, paper_cfg, "load", Duration::from_millis(100));
+    let (paper_samples, paper_binds) =
+        sim_kill_rounds(&group, 12, Duration::from_secs(5), Duration::from_secs(4));
     report::add_virtual_secs(group.sim.now().as_secs_f64());
     let ps = Stats::of(&paper_samples);
     t.row(&[
@@ -272,14 +181,9 @@ pub fn e20(sim_only: bool) {
     ]);
 
     // Leg 2: deployed tuning, virtual time.
-    let group = SimNsGroup::build(20_002, tuned_cfg);
-    let (tuned_samples, tuned_binds) = sim_kill_rounds(
-        &group,
-        15,
-        Duration::from_millis(20),
-        Duration::from_secs(1),
-        Duration::from_secs(1),
-    );
+    let group = ns_group(20_002, tuned_cfg, "load", Duration::from_millis(20));
+    let (tuned_samples, tuned_binds) =
+        sim_kill_rounds(&group, 15, Duration::from_secs(1), Duration::from_secs(1));
     report::add_virtual_secs(group.sim.now().as_secs_f64());
     let ts = Stats::of(&tuned_samples);
     t.row(&[
@@ -329,7 +233,7 @@ pub fn e20(sim_only: bool) {
     if !real_samples.is_empty() {
         report::put(
             "real_view_change_p50_s",
-            Json::F64(percentile(&real_samples, 0.50)),
+            Json::F64(Stats::of(&real_samples).p50),
         );
         report::put(
             "real_view_change_p99_s",

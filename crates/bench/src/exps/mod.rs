@@ -26,6 +26,49 @@ use std::time::Duration;
 use itv_cluster::{Cluster, ClusterConfig};
 use ocs_sim::{NodeRt, NodeRtExt, Sim, SimChan, SimTime};
 
+/// The post-storm audit of E22 and E23: every surviving replica's
+/// committed set must be exactly the client's record of what committed.
+/// `lost` and `doubled` are the worst per-replica counts of committed
+/// entries missing and of entries that never committed.
+pub(crate) struct Audit<T> {
+    want: Vec<T>,
+    pub(crate) lost: u64,
+    pub(crate) doubled: u64,
+    pub(crate) ok: bool,
+}
+
+impl<T: Ord> Audit<T> {
+    /// An audit against the client's record `want`.
+    pub(crate) fn new(mut want: Vec<T>) -> Audit<T> {
+        want.sort();
+        Audit {
+            want,
+            lost: 0,
+            doubled: 0,
+            ok: true,
+        }
+    }
+
+    /// Checks one replica's committed set, failing it also when the
+    /// replica's own index audit (`self_ok`) failed. Returns whether the
+    /// replica passed.
+    pub(crate) fn check(&mut self, mut have: Vec<T>, self_ok: bool) -> bool {
+        have.sort();
+        let lost = self.want.iter().filter(|x| !have.contains(x)).count() as u64;
+        let doubled = have.iter().filter(|x| !self.want.contains(x)).count() as u64;
+        self.lost = self.lost.max(lost);
+        self.doubled = self.doubled.max(doubled);
+        let ok = have == self.want && self_ok;
+        self.ok &= ok;
+        ok
+    }
+
+    /// Size of the client's record.
+    pub(crate) fn expected(&self) -> usize {
+        self.want.len()
+    }
+}
+
 /// Builds a cluster and runs it to the fully-ready state (services
 /// placed, settops booted).
 pub(crate) fn ready_cluster(seed: u64, cfg: ClusterConfig) -> (Sim, Cluster) {

@@ -23,13 +23,14 @@ use std::time::{Duration, Instant};
 use ocs_name::NsHandle;
 use ocs_orb::{ClientCtx, ObjRef};
 use ocs_sim::real::RealNet;
-use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt, Sim, SimNode};
-use ocs_svcctl::{Csc, CscConfig, CscApiClient, SscReplicaConfig, SvcError};
+use ocs_sim::{Addr, NodeId, NodeRt, NodeRtExt, Rt};
+use ocs_svcctl::{Csc, CscApiClient, CscConfig, SscReplicaConfig, SvcError};
+use ocs_vsr::SimGroup;
 use parking_lot::Mutex;
 
-use crate::exps::failover::percentile;
+use super::Audit;
 use crate::json::Json;
-use crate::{f, report, Stats, Table};
+use crate::{f, percentile, report, Stats, Table};
 
 const CSC_PORT: u16 = 15;
 
@@ -57,153 +58,49 @@ fn csc_cfg(rep: SscReplicaConfig) -> CscConfig {
     }
 }
 
-fn csc_at(rt: &Rt, peer: Addr, timeout: Duration) -> CscApiClient {
+fn csc_at(ctx: ClientCtx, peer: Addr) -> CscApiClient {
     let target = ObjRef {
         addr: peer,
         incarnation: ObjRef::STABLE,
         type_id: CscApiClient::TYPE_ID,
         object_id: 0,
     };
-    CscApiClient::attach(ClientCtx::new(rt.clone()).with_timeout(timeout), target)
-        .expect("attach csc client")
-}
-
-/// A 3-replica controller group in the simulator plus a client node.
-struct SimCscGroup {
-    sim: Sim,
-    nodes: Vec<Arc<SimNode>>,
-    cscs: Arc<Mutex<Vec<Option<Arc<Csc>>>>>,
-    peers: Vec<Addr>,
-    client: Arc<SimNode>,
-    cfg_of: fn(u32, Vec<Addr>) -> SscReplicaConfig,
-    client_timeout: Duration,
-}
-
-impl SimCscGroup {
-    fn build(seed: u64, cfg_of: fn(u32, Vec<Addr>) -> SscReplicaConfig) -> SimCscGroup {
-        let sim = Sim::new(seed);
-        let nodes: Vec<Arc<SimNode>> = (0..3).map(|i| sim.add_node(&format!("csc{i}"))).collect();
-        let peers: Vec<Addr> = nodes.iter().map(|n| Addr::new(n.node(), CSC_PORT)).collect();
-        let cscs = Arc::new(Mutex::new(vec![None; 3]));
-        let client = sim.add_node("load");
-        let group = SimCscGroup {
-            client_timeout: cfg_of(0, peers.clone()).peer_timeout * 3,
-            sim,
-            nodes,
-            cscs,
-            peers,
-            client,
-            cfg_of,
-        };
-        for i in 0..3 {
-            group.start_csc(i);
-        }
-        group
-    }
-
-    /// (Re)starts the controller on member `i`.
-    fn start_csc(&self, i: usize) {
-        let node = &self.nodes[i];
-        let rt: Rt = node.clone();
-        // No name service behind the bench group: the keeper and DB
-        // seeding fail fast and idle; the log is driven over `place_op`.
-        let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(self.client.node(), 49));
-        let cfg = csc_cfg((self.cfg_of)(i as u32, self.peers.clone()));
-        let csc = Csc::new(rt, cfg, ns);
-        self.cscs.lock()[i] = Some(Arc::clone(&csc));
-        node.spawn_fn("csc-run", move || {
-            let _ = csc.run(|_| {});
-        });
-    }
-
-    fn masters(&self) -> Vec<usize> {
-        self.cscs
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                c.as_ref()
-                    .filter(|c| self.sim.node_up(self.nodes[i].node()) && c.is_primary())
-                    .map(|_| i)
-            })
-            .collect()
-    }
-
-    fn settled(&self) -> bool {
-        self.masters().len() == 1
-            && self.cscs.lock().iter().enumerate().all(|(i, c)| match c {
-                Some(c) => {
-                    !self.sim.node_up(self.nodes[i].node())
-                        || c.replica().is_some_and(|r| !r.in_probation())
-                }
-                None => true,
-            })
-    }
-
-    fn run_until(&self, limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
-        let step = Duration::from_millis(20);
-        let deadline = self.sim.now() + limit;
-        while self.sim.now() < deadline {
-            if cond() {
-                return true;
-            }
-            self.sim.run_for(step);
-        }
-        cond()
-    }
-
-    /// Runs `f` on the client node and steps virtual time to completion.
-    fn on_client<T: Send + 'static>(&self, f: impl FnOnce(Rt) -> T + Send + 'static) -> T {
-        let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
-        let rt: Rt = self.client.clone();
-        self.client.spawn_fn("csc-call", move || {
-            let r = f(rt);
-            *out.lock() = Some(r);
-        });
-        assert!(
-            self.run_until(Duration::from_secs(120), || slot.lock().is_some()),
-            "E23 client call did not complete"
-        );
-        let got = slot.lock().take();
-        got.unwrap()
-    }
-
-    /// The operator retry loop in miniature: the same token on every
-    /// attempt, against whichever replica answers (backups forward).
-    fn decide(&self, op: Op) -> Result<u64, SvcError> {
-        let peers = self.peers.clone();
-        let (timeout, backoff) = (self.client_timeout, self.client_timeout / 4);
-        self.on_client(move |rt| {
-            for _ in 0..600 {
-                for &peer in &peers {
-                    let c = csc_at(&rt, peer, timeout);
-                    let r = match op.clone() {
-                        Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
-                        Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
-                    };
-                    match r {
-                        Ok(epoch) => return Ok(epoch),
-                        // Committed refusals, not transport trouble.
-                        Err(e @ (SvcError::UnknownService { .. } | SvcError::NotPlaced { .. })) => {
-                            return Err(e)
-                        }
-                        Err(_) => {}
-                    }
-                }
-                rt.sleep(backoff);
-            }
-            Err(SvcError::Dependency {
-                what: "e23: no replica accepted the op".into(),
-            })
-        })
-    }
+    CscApiClient::attach(ctx, target).expect("attach csc client")
 }
 
 #[derive(Clone)]
 enum Op {
     Define(u64, String, Vec<NodeId>),
     Place(u64, String, NodeId, bool),
+}
+
+/// One attempt of `op` against `peer`: `Some` once the answer is final
+/// (a commit, or a committed refusal rather than transport trouble).
+fn try_op(ctx: ClientCtx, peer: Addr, op: &Op) -> Option<Result<u64, SvcError>> {
+    let c = csc_at(ctx, peer);
+    let r = match op.clone() {
+        Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
+        Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
+    };
+    match r {
+        Ok(epoch) => Some(Ok(epoch)),
+        Err(e @ (SvcError::UnknownService { .. } | SvcError::NotPlaced { .. })) => Some(Err(e)),
+        Err(_) => None,
+    }
+}
+
+/// The operator retry loop in miniature: the same token on every
+/// attempt, against whichever replica answers (backups forward).
+fn decide(group: &SimGroup<Csc>, timeout: Duration, op: Op) -> Result<u64, SvcError> {
+    group
+        .call_any(600, timeout, timeout / 4, move |ctx, peer| {
+            try_op(ctx, peer, &op)
+        })
+        .unwrap_or_else(|| {
+            Err(SvcError::Dependency {
+                what: "e23: no replica accepted the op".into(),
+            })
+        })
 }
 
 /// Per-leg outcome of a controller kill storm.
@@ -217,14 +114,49 @@ struct StormResult {
     redecided: u64,
 }
 
-/// Repeated primary kills under placement load. Every committed decision
-/// is recorded client-side; the post-storm audit compares that record
-/// against each healed replica's table.
-fn replicated_storm(group: &SimCscGroup, rounds: usize, dwell: Duration) -> StormResult {
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "controller group failed to settle at start"
-    );
+/// The client's record of every committed placement, as the audit
+/// compares it against each replica's table.
+fn committed(placed: &[(String, NodeId, u64)], rotor: &[(NodeId, u64)]) -> Vec<(String, NodeId)> {
+    placed
+        .iter()
+        .map(|(s, n, _)| (s.clone(), *n))
+        .chain(rotor.iter().map(|(n, _)| ("rotor".to_string(), *n)))
+        .collect()
+}
+
+/// A replica's placement table as (service, node) pairs.
+fn placement_pairs(rep: &ocs_svcctl::SscReplica) -> Vec<(String, NodeId)> {
+    rep.placements()
+        .into_iter()
+        .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
+        .collect()
+}
+
+/// One replicated leg: a fresh 3-controller group on `seed` with
+/// `cfg_of`'s timeouts, put through `rounds` primary kills under
+/// placement load. Every committed decision is recorded client-side;
+/// the post-storm audit compares that record against each healed
+/// replica's table.
+fn replicated_storm(
+    seed: u64,
+    cfg_of: fn(u32, Vec<Addr>) -> SscReplicaConfig,
+    rounds: usize,
+    dwell: Duration,
+) -> StormResult {
+    let group = SimGroup::new(seed, "csc", 3, CSC_PORT, "load", move |g, i| {
+        let rt: Rt = g.nodes[i].clone();
+        // No name service behind the bench group: the keeper and DB
+        // seeding fail fast and idle; the log is driven over `place_op`.
+        let ns = NsHandle::new(ClientCtx::new(rt.clone()), Addr::new(g.client.node(), 49));
+        let csc = Csc::new(rt, csc_cfg(cfg_of(i as u32, g.peers.clone())), ns);
+        let run = Arc::clone(&csc);
+        g.nodes[i].spawn_fn("csc-run", move || {
+            let _ = run.run(|_| {});
+        });
+        csc
+    });
+    let timeout = cfg_of(0, group.peers.clone()).peer_timeout * 3;
+    group.settle();
     let mut next_token = 1u64;
     let mut token = || {
         let t = next_token;
@@ -240,37 +172,40 @@ fn replicated_storm(group: &SimCscGroup, rounds: usize, dwell: Duration) -> Stor
             group.nodes[s as usize % 3].node(),
             group.nodes[(s as usize + 1) % 3].node(),
         ];
-        let epoch = group
-            .decide(Op::Define(token(), name.clone(), nodes.clone()))
-            .expect("seed define");
+        let epoch = decide(
+            &group,
+            timeout,
+            Op::Define(token(), name.clone(), nodes.clone()),
+        )
+        .expect("seed define");
         for n in nodes {
             placed.push((name.clone(), n, epoch));
         }
     }
     // The churn service the blackout sensor places round by round.
-    group
-        .decide(Op::Define(token(), "rotor".into(), Vec::new()))
-        .expect("rotor define");
+    decide(
+        &group,
+        timeout,
+        Op::Define(token(), "rotor".into(), Vec::new()),
+    )
+    .expect("rotor define");
     let mut rotor: Vec<(NodeId, u64)> = Vec::new();
     let mut blackouts = Vec::new();
     let mut redecided = 0u64;
     for round in 0..rounds {
-        assert!(
-            group.run_until(Duration::from_secs(120), || group.settled()),
-            "controller group failed to settle between kill rounds"
-        );
+        group.settle();
         group.sim.run_for(dwell);
-        let master = group.masters()[0];
-        let t0 = group.sim.now();
-        group.sim.crash_node(group.nodes[master].node());
-        group.cscs.lock()[master] = None;
+        let (master, t0) = group.kill_master();
         // The blackout sensor: how long until the next placement
         // decision commits on a survivor. The token is fixed across
         // every retry, so a mid-commit crash cannot double the decision.
         let node = group.nodes[(round + 1) % 3].node();
-        let epoch = group
-            .decide(Op::Place(token(), "rotor".into(), node, true))
-            .expect("post-kill place");
+        let epoch = decide(
+            &group,
+            timeout,
+            Op::Place(token(), "rotor".into(), node, true),
+        )
+        .expect("post-kill place");
         blackouts.push(group.sim.now().saturating_since(t0).as_secs_f64());
         if let Some((_, prev)) = rotor.iter().find(|(n, _)| *n == node) {
             // Placing where it already is confirms at the old epoch.
@@ -285,8 +220,7 @@ fn replicated_storm(group: &SimCscGroup, rounds: usize, dwell: Duration) -> Stor
         // original decision epoch — a bump would be a re-decision, the
         // placement analogue of E22's double-book.
         let (name, n, want_epoch) = placed[round % placed.len()].clone();
-        let got = group
-            .decide(Op::Place(token(), name, n, true))
+        let got = decide(&group, timeout, Op::Place(token(), name, n, true))
             .expect("idempotent re-place");
         if got != want_epoch {
             redecided += 1;
@@ -295,58 +229,42 @@ fn replicated_storm(group: &SimCscGroup, rounds: usize, dwell: Duration) -> Stor
         // placement from two rounds back.
         if rotor.len() > 2 {
             let (node, _) = rotor.remove(0);
-            match group.decide(Op::Place(token(), "rotor".into(), node, false)) {
+            match decide(
+                &group,
+                timeout,
+                Op::Place(token(), "rotor".into(), node, false),
+            ) {
                 Ok(_) | Err(SvcError::NotPlaced { .. }) => {}
                 Err(e) => panic!("e23: rotor unplace failed oddly: {e}"),
             }
         }
         // Heal the victim before the next round.
-        group.sim.restart_node(group.nodes[master].node());
-        group.start_csc(master);
+        group.restart(master);
     }
     // Post-storm audit: heal fully, then every replica's table must be
     // exactly the client's record — same placements, nothing extra,
     // nothing missing, consistent derived indexes.
-    assert!(
-        group.run_until(Duration::from_secs(120), || group.settled()),
-        "controller group failed to heal after the storm"
-    );
+    group.settle();
     group.sim.run_for(Duration::from_secs(5));
-    let mut want: Vec<(String, NodeId)> = placed
-        .iter()
-        .map(|(s, n, _)| (s.clone(), *n))
-        .chain(rotor.iter().map(|(n, _)| ("rotor".to_string(), *n)))
-        .collect();
-    want.sort();
-    let (mut lost, mut doubled) = (0u64, 0u64);
-    let mut audit_ok = true;
-    for (i, c) in group.cscs.lock().iter().enumerate() {
-        let Some(rep) = c.as_ref().and_then(|c| c.replica()) else {
-            continue;
-        };
-        let mut have: Vec<(String, NodeId)> = rep
-            .placements()
-            .into_iter()
-            .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
-            .collect();
-        have.sort();
-        lost = lost.max(want.iter().filter(|p| !have.contains(p)).count() as u64);
-        doubled = doubled.max(have.iter().filter(|p| !want.contains(p)).count() as u64);
-        if have != want || !rep.audit_ok() {
-            audit_ok = false;
+    report::add_virtual_secs(group.sim.now().as_secs_f64());
+    let mut audit = Audit::new(committed(&placed, &rotor));
+    for (i, c) in group.live() {
+        let Some(rep) = c.replica() else { continue };
+        let have = placement_pairs(&rep);
+        let count = have.len();
+        if !audit.check(have, rep.audit_ok()) {
             println!(
-                "    AUDIT FAIL replica {i}: {} placements vs {} expected (self-audit {})",
-                have.len(),
-                want.len(),
+                "    AUDIT FAIL replica {i}: {count} placements vs {} expected (self-audit {})",
+                audit.expected(),
                 rep.audit_ok(),
             );
         }
     }
     StormResult {
         blackouts,
-        lost,
-        doubled: doubled + redecided,
-        audit_ok,
+        lost: audit.lost,
+        doubled: audit.doubled + redecided,
+        audit_ok: audit.ok,
         redecided,
     }
 }
@@ -409,21 +327,12 @@ fn real_leg(rounds: usize) -> StormResult {
     };
     wait(&mut || settled(&cscs), "group never settled at start");
 
-    let timeout = Duration::from_millis(450);
+    let ctx = ClientCtx::new(rt).with_timeout(Duration::from_millis(450));
     let decide = |op: Op| -> Result<u64, SvcError> {
         for _ in 0..600 {
             for &peer in &peers {
-                let c = csc_at(&rt, peer, timeout);
-                let r = match op.clone() {
-                    Op::Define(token, name, nodes) => c.define_service(token, name, nodes),
-                    Op::Place(token, name, node, run) => c.place_op(token, name, node, run),
-                };
-                match r {
-                    Ok(epoch) => return Ok(epoch),
-                    Err(e @ (SvcError::UnknownService { .. } | SvcError::NotPlaced { .. })) => {
-                        return Err(e)
-                    }
-                    Err(_) => {}
+                if let Some(r) = try_op(ctx.clone(), peer, &op) {
+                    return r;
                 }
             }
             std::thread::sleep(Duration::from_millis(25));
@@ -482,32 +391,17 @@ fn real_leg(rounds: usize) -> StormResult {
     }
     wait(&mut || settled(&cscs), "group failed to heal after the storm");
     std::thread::sleep(Duration::from_secs(1));
-    let mut want: Vec<(String, NodeId)> = placed
-        .iter()
-        .map(|(s, n, _)| (s.clone(), *n))
-        .chain(rotor.iter().map(|(n, _)| ("rotor".to_string(), *n)))
-        .collect();
-    want.sort();
-    let (mut lost, mut doubled) = (0u64, 0u64);
-    let mut audit_ok = true;
+    let mut audit = Audit::new(committed(&placed, &rotor));
     for (i, c) in cscs.lock().iter().enumerate() {
         let Some(rep) = c.as_ref().and_then(|c| c.replica()) else {
             continue;
         };
-        let mut have: Vec<(String, NodeId)> = rep
-            .placements()
-            .into_iter()
-            .flat_map(|p| p.nodes.into_iter().map(move |n| (p.service.clone(), n)))
-            .collect();
-        have.sort();
-        lost = lost.max(want.iter().filter(|p| !have.contains(p)).count() as u64);
-        doubled = doubled.max(have.iter().filter(|p| !want.contains(p)).count() as u64);
-        if have != want || !rep.audit_ok() {
-            audit_ok = false;
+        let have = placement_pairs(&rep);
+        let count = have.len();
+        if !audit.check(have, rep.audit_ok()) {
             println!(
-                "    AUDIT FAIL real replica {i}: {} placements vs {} expected",
-                have.len(),
-                want.len()
+                "    AUDIT FAIL real replica {i}: {count} placements vs {} expected",
+                audit.expected()
             );
         }
     }
@@ -517,9 +411,9 @@ fn real_leg(rounds: usize) -> StormResult {
     driver.stop();
     StormResult {
         blackouts,
-        lost,
-        doubled: doubled + redecided,
-        audit_ok,
+        lost: audit.lost,
+        doubled: audit.doubled + redecided,
+        audit_ok: audit.ok,
         redecided,
     }
 }
@@ -553,15 +447,11 @@ pub fn e23(sim_only: bool) {
     ]);
 
     // Leg 1: replicated, paper-scale timeouts.
-    let group = SimCscGroup::build(23_001, paper_cfg);
-    let paper = replicated_storm(&group, 6, Duration::from_secs(4));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
+    let paper = replicated_storm(23_001, paper_cfg, 6, Duration::from_secs(4));
     leg_row(&mut t, "replicated, paper timeouts", &paper);
 
     // Leg 2: replicated, deployed tuning.
-    let group = SimCscGroup::build(23_002, tuned_cfg);
-    let tuned = replicated_storm(&group, 8, Duration::from_secs(1));
-    report::add_virtual_secs(group.sim.now().as_secs_f64());
+    let tuned = replicated_storm(23_002, tuned_cfg, 8, Duration::from_secs(1));
     leg_row(&mut t, "replicated, deployed tuning", &tuned);
 
     // Leg 3: real TCP, wall clock.

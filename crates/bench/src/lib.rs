@@ -87,6 +87,21 @@ impl Stats {
     }
 }
 
+/// `p`-th percentile of a sample by nearest rank (`p` in [0, 1]): the
+/// smallest sample with at least `p` of the sample at or below it. At
+/// `p = 0.5` on an even-length sample this is the lower median, where
+/// [`Stats::p50`] is the upper one; every `*_p50_s` artifact field uses
+/// `Stats::p50`.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((sorted.len() as f64 * p).ceil() as usize).max(1) - 1;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 /// Renders an aligned text table.
 pub struct Table {
     headers: Vec<String>,
@@ -175,6 +190,21 @@ mod tests {
         assert!((s.mean - 2.0).abs() < 1e-9);
         assert_eq!(s.p50, 2.0);
         assert_eq!(Stats::of(&[]).n, 0);
+    }
+
+    #[test]
+    fn p50_definitions_agree_on_odd_and_split_on_even_samples() {
+        let odd = [5.0, 1.0, 3.0];
+        assert_eq!(Stats::of(&odd).p50, 3.0);
+        assert_eq!(percentile(&odd, 0.5), 3.0);
+        // Even length: `Stats::p50` is the upper median, the nearest-rank
+        // percentile the lower one.
+        let even = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(Stats::of(&even).p50, 3.0);
+        assert_eq!(percentile(&even, 0.5), 2.0);
+        assert_eq!(percentile(&even, 0.99), 4.0);
+        assert_eq!(percentile(&even, 0.0), 1.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -223,6 +223,20 @@ impl CmReplica {
     }
 }
 
+impl ocs_vsr::GroupMember for CmReplica {
+    fn is_master(&self) -> bool {
+        self.core.is_master()
+    }
+
+    fn in_probation(&self) -> bool {
+        self.core.in_probation()
+    }
+
+    fn debug_status(&self) -> String {
+        CmReplica::debug_status(self)
+    }
+}
+
 /// Servant view of the client-facing `CmApi`.
 struct ApiView {
     core: Arc<Core>,

@@ -247,6 +247,20 @@ impl NsReplica {
     }
 }
 
+impl ocs_vsr::GroupMember for NsReplica {
+    fn is_master(&self) -> bool {
+        self.core.is_master()
+    }
+
+    fn in_probation(&self) -> bool {
+        self.core.in_probation()
+    }
+
+    fn debug_status(&self) -> String {
+        NsReplica::debug_status(self)
+    }
+}
+
 fn ctx_objref(core: &Core, ctx: CtxId) -> ObjRef {
     let object_id = if ctx == ROOT_CTX {
         0

@@ -2273,6 +2273,11 @@ impl SimInner {
             .unwrap_or(false)
     }
 
+    /// Whether [`SimInner::shutdown`] has run.
+    pub fn is_shut_down(&self) -> bool {
+        self.shards[0].kernel.lock().shutdown
+    }
+
     // ---- aggregate views ---------------------------------------------
 
     pub fn trace_hash(&self) -> u64 {

@@ -43,7 +43,7 @@ impl Default for SimConfig {
             seed: 0,
             net: NetConfig::default(),
             trace: std::env::var_os("OCS_TRACE").is_some(),
-            fast: std::env::var_os("OCS_SLOW").is_none(),
+            fast: true,
             shards: std::env::var("OCS_SHARDS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
@@ -57,8 +57,10 @@ impl Default for SimConfig {
 /// A deterministic discrete-event simulation.
 ///
 /// Cloning the handle is cheap; all clones drive the same simulation.
-/// Dropping the last handle shuts the simulation down, unwinding every
-/// simulated process.
+/// The handle made by [`Sim::new`] or [`Sim::with_config`] owns it:
+/// dropping that handle shuts the simulation down, unwinding every
+/// simulated process, even while clones are still live. Running a
+/// shut-down simulation through a clone panics.
 ///
 /// # Examples
 ///
@@ -142,11 +144,20 @@ impl Sim {
     }
 
     /// Runs the simulation until virtual time `t`.
+    ///
+    /// # Panics
+    ///
+    /// If the simulation has been shut down (see [`Sim`]).
     pub fn run_until(&self, t: SimTime) {
+        self.assert_running();
         self.inner.run_until(Some(t.as_micros()));
     }
 
     /// Runs the simulation for `d` beyond the current time.
+    ///
+    /// # Panics
+    ///
+    /// If the simulation has been shut down (see [`Sim`]).
     pub fn run_for(&self, d: Duration) {
         let t = self.now() + d;
         self.run_until(t);
@@ -154,8 +165,23 @@ impl Sim {
 
     /// Runs until no events remain (quiescence). Periodic services never
     /// quiesce; prefer [`Sim::run_until`] when any are running.
+    ///
+    /// # Panics
+    ///
+    /// If the simulation has been shut down (see [`Sim`]).
     pub fn run(&self) {
+        self.assert_running();
         self.inner.run_until(None);
+    }
+
+    /// A shut-down simulation has no processes left, so running it would
+    /// quietly advance a clock nothing reacts to.
+    fn assert_running(&self) {
+        assert!(
+            !self.inner.is_shut_down(),
+            "Sim driven after shutdown: the owning handle (from Sim::new or \
+             Sim::with_config) was dropped while this clone was still in use"
+        );
     }
 
     /// Spawns a free-floating controller process not tied to any node.

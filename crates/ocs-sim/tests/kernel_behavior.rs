@@ -15,6 +15,23 @@ fn secs(s: u64) -> Duration {
 }
 
 #[test]
+#[should_panic(expected = "Sim driven after shutdown")]
+fn running_a_clone_after_the_owner_dropped_panics() {
+    let sim = Sim::new(1);
+    let clone = sim.clone();
+    let node = sim.add_node("a");
+    let rt = node.clone();
+    node.spawn_fn("ticker", move || loop {
+        rt.sleep(secs(1));
+    });
+    clone.run_for(secs(2));
+    drop(sim);
+    // The owner's drop shut the simulation down: the ticker is gone, so
+    // this would advance a dead clock.
+    clone.run_for(secs(2));
+}
+
+#[test]
 fn virtual_time_advances_only_with_events() {
     let sim = Sim::new(1);
     let node = sim.add_node("a");

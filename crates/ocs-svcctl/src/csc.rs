@@ -342,6 +342,23 @@ impl Csc {
     }
 }
 
+impl ocs_vsr::GroupMember for Csc {
+    fn is_master(&self) -> bool {
+        self.is_primary()
+    }
+
+    /// A controller whose `run` has not started its replica yet is
+    /// still starting up.
+    fn in_probation(&self) -> bool {
+        self.replica().is_none_or(|r| r.in_probation())
+    }
+
+    fn debug_status(&self) -> String {
+        self.replica()
+            .map_or_else(|| "replica not started".into(), |r| r.debug_status())
+    }
+}
+
 impl CscApi for Csc {
     fn cluster_status(&self, _caller: &Caller) -> Result<Vec<NodeServices>, SvcError> {
         Ok(self.state.lock().status.clone())

@@ -23,6 +23,10 @@
 //!   [`ReplicaHooks`] — its machine, names, error type, clock stamping,
 //!   periodic op and per-commit side effects — and keeps only its
 //!   client-facing servant.
+//! * [`SimGroup`] is the one simulated replica-group harness around
+//!   running replicas (any [`GroupMember`]): settle, kill the primary,
+//!   restart, and retry a call against any member. The fail-over
+//!   experiments and the services' integration tests share it.
 //!
 //! Protocol outline:
 //!
@@ -63,8 +67,10 @@ use ocs_sim::SimTime;
 use ocs_wire::{impl_wire_struct, Decoder, Encoder, ViewStamp, Wire, WireError};
 
 mod replica;
+mod simgroup;
 
 pub use replica::{Names, Op, Replica, ReplicaConfig, ReplicaHooks, Unavailable};
+pub use simgroup::{call_on, GroupMember, SimGroup};
 
 /// A view number. The primary of view `v` is replica `v mod n`.
 pub type View = u64;
